@@ -47,6 +47,9 @@ __all__ = ["RegenerativeSchedule", "ScheduleBuilder"]
 #: the truncation error of any longer chain is zero at double precision.
 _EXHAUSTED = 1e-305
 
+#: Initial buffer capacity (steps); buffers double as they fill.
+_INITIAL_CAPACITY = 64
+
 
 @dataclass(frozen=True)
 class RegenerativeSchedule:
@@ -122,11 +125,17 @@ class ScheduleBuilder:
         if self._abs_idx.size and np.any(self._u[self._abs_idx] > 0.0):
             raise ModelError("u0 must carry no mass on absorbing states")
 
-        self._a: list[float] = [float(self._u.sum())]
-        self._c: list[float] = [float(self._reward @ self._u)]
-        self._qmass: list[float] = []
-        self._vmass: list[np.ndarray] = []
-        self._exhausted = self._a[0] <= _EXHAUSTED
+        # Capacity-doubling buffers: entries ``[:n_recorded]`` of ``a``/``c``
+        # and ``[:steps_done]`` of ``qmass``/``vmass`` are final, so
+        # snapshots are read-only views of their prefixes.
+        self._n = 1
+        self._a = np.empty(_INITIAL_CAPACITY)
+        self._c = np.empty(_INITIAL_CAPACITY)
+        self._qmass = np.empty(_INITIAL_CAPACITY)
+        self._vmass = np.empty((_INITIAL_CAPACITY, self._abs_idx.size))
+        self._a[0] = self._u.sum()
+        self._c[0] = self._reward @ self._u
+        self._exhausted = bool(self._a[0] <= _EXHAUSTED)
         self._steps_done = 0
 
     @classmethod
@@ -177,7 +186,7 @@ class ScheduleBuilder:
     @property
     def n_recorded(self) -> int:
         """Number of steps with ``a(k)`` recorded (``k = 0 .. n-1``)."""
-        return len(self._a)
+        return self._n
 
     @property
     def steps_done(self) -> int:
@@ -195,50 +204,64 @@ class ScheduleBuilder:
         """Number of absorbing states ``A``."""
         return int(self._abs_idx.size)
 
-    def a_last(self) -> float:
-        """Most recent ``a(k)`` value."""
-        return self._a[-1]
+    @property
+    def a(self) -> np.ndarray:
+        """Read-only view of the recorded ``a(0 .. n_recorded-1)``."""
+        return _frozen(self._a[: self._n])
 
     def a_at(self, k: int) -> float:
         """``a(k)`` for an already-recorded step ``k`` (O(1))."""
-        return self._a[k]
+        if not 0 <= k < self._n:
+            raise IndexError(f"a({k}) is not recorded")
+        return float(self._a[k])
+
+    def _grow(self) -> None:
+        """Double the capacity of every buffer."""
+        for name in ("_a", "_c", "_qmass", "_vmass"):
+            old = getattr(self, name)
+            new = np.empty((2 * old.shape[0],) + old.shape[1:])
+            new[: old.shape[0]] = old
+            setattr(self, name, new)
 
     def step(self) -> None:
         """Advance one step (no-op when exhausted)."""
         if self._exhausted:
             return
+        if self._n == self._a.shape[0]:
+            self._grow()
         y = self._kernel.step(self._u)
-        q = float(y[self._r_idx])
+        n = self._n
+        self._qmass[n - 1] = y[self._r_idx]
         y[self._r_idx] = 0.0
         if self._abs_idx.size:
-            v = y[self._abs_idx].copy()
+            self._vmass[n - 1] = y[self._abs_idx]
             y[self._abs_idx] = 0.0
-        else:
-            v = np.zeros(0)
-        self._qmass.append(q)
-        self._vmass.append(v)
         self._u = y
-        self._a.append(float(y.sum()))
-        self._c.append(float(self._reward @ y))
+        self._a[n] = y.sum()
+        self._c[n] = self._reward @ y
+        self._n = n + 1
         self._steps_done += 1
-        if self._a[-1] <= _EXHAUSTED:
+        if self._a[n] <= _EXHAUSTED:
             self._exhausted = True
 
     def extend_to(self, k: int) -> None:
         """Ensure ``a(k)`` is recorded (or the schedule is exhausted)."""
-        while len(self._a) <= k and not self._exhausted:
+        while self._n <= k and not self._exhausted:
             self.step()
 
     def snapshot(self) -> RegenerativeSchedule:
-        """Freeze the current prefix into arrays."""
-        n = len(self._a)
-        a_arr = np.asarray(self._a)
-        c_arr = np.asarray(self._c)
-        q_arr = np.asarray(self._qmass)
-        if self._vmass:
-            v_arr = np.vstack(self._vmass)
-        else:
-            v_arr = np.zeros((0, self.n_absorbing))
-        return RegenerativeSchedule(a=a_arr[:n], c=c_arr[:n],
-                                    qmass=q_arr, vmass=v_arr,
+        """Freeze the current prefix: O(1) read-only views of the buffers,
+        unaffected by later extension."""
+        n = self._n
+        return RegenerativeSchedule(a=self.a,
+                                    c=_frozen(self._c[:n]),
+                                    qmass=_frozen(self._qmass[: n - 1]),
+                                    vmass=_frozen(self._vmass[: n - 1]),
                                     exhausted=self._exhausted)
+
+
+def _frozen(view: np.ndarray) -> np.ndarray:
+    """``view`` marked read-only (the buffer it looks into stays
+    writable for the builder, which only ever writes past it)."""
+    view.flags.writeable = False
+    return view

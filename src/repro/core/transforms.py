@@ -20,9 +20,9 @@ Given the regenerative schedules and truncation points ``K, L`` the chain
 
 (The paper prints A(s) with sums to ``L`` and a trailing ``a'(L)γ^{L+1}``;
 the two forms are algebraically identical since ``s/(s+Λ) + γ = 1``. We
-re-derived the expressions from the chain's balance equations — see
-DESIGN.md — and the test-suite verifies them against a direct solution of
-the explicitly-built ``V_{K,L}``.)
+re-derived the expressions from the chain's balance equations — see the
+README, "Reproduction notes" — and the test-suite verifies them against a
+direct solution of the explicitly-built ``V_{K,L}``.)
 
 When ``α_r = 1`` there is no primed chain: ``A(s) = 1`` and the primed
 sums vanish (the paper's ``V_K`` case).
@@ -134,39 +134,51 @@ class VklTransform:
         """Matrix ``γ(s)^k`` of shape ``(len(s), n)``."""
         gamma = self._rate / (s + self._rate)
         ks = np.arange(n, dtype=np.float64)
-        return np.exp(np.log(gamma)[:, None] * ks[None, :])
+        pw = np.log(gamma)[:, None] * ks[None, :]
+        return np.exp(pw, out=pw)
 
     # -- transform components ---------------------------------------------
+    #
+    # Every public evaluator builds the power matrices once per call —
+    # ``γ^k`` for ``k <= K`` and, with a primed chain, ``k <= L`` — and
+    # hands them to the shared bodies below.
 
-    def p0(self, s: np.ndarray) -> np.ndarray:
-        """Transform of ``P[V(t) = s_0]`` at complex abscissae ``s``."""
-        s = np.asarray(s, dtype=np.complex128)
-        lam = self._rate
+    def _chain_powers(self, s: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
         pw = self._powers(s, self._k + 1)
+        pwp = self._powers(s, self._l + 1) if self._has_primed else None
+        return pw, pwp
+
+    def _p0(self, s: np.ndarray, pw: np.ndarray,
+            pwp: np.ndarray | None) -> np.ndarray:
+        lam = self._rate
         b_val = (s * (pw @ self._a)
                  + lam * (pw[:, : self._k] @ self._vsum)
                  + lam * self._a_tail * pw[:, self._k])
-        if not self._has_primed:
+        if pwp is None:
             return 1.0 / b_val
         lp = self._l
-        pwp = self._powers(s, lp + 1)
         a_val = (1.0
                  - (s / (s + lam)) * (pwp[:, :lp] @ self._ap[:lp])
                  - (lam / (s + lam)) * (pwp[:, :lp] @ self._vsum_p)
                  - self._ap_tail * pwp[:, lp])
         return a_val / b_val
 
+    def p0(self, s: np.ndarray) -> np.ndarray:
+        """Transform of ``P[V(t) = s_0]`` at complex abscissae ``s``."""
+        s = np.asarray(s, dtype=np.complex128)
+        return self._p0(s, *self._chain_powers(s))
+
     def trr(self, s: np.ndarray) -> np.ndarray:
         """Transform of ``TRR^a_{K,L}(t)`` at complex abscissae ``s``."""
         s = np.asarray(s, dtype=np.complex128)
         lam = self._rate
-        pw = self._powers(s, self._k + 1)
+        pw, pwp = self._chain_powers(s)
         main_reward = pw @ self._c
         main_absorb = (lam / s) * (pw[:, : self._k] @ self._rfv)
-        out = (main_reward + main_absorb) * self.p0(s)
-        if self._has_primed:
+        out = (main_reward + main_absorb) * self._p0(s, pw, pwp)
+        if pwp is not None:
             lp = self._l
-            pwp = self._powers(s, lp + 1)
             gamma = lam / (s + lam)
             out = out + (pwp @ self._cp) / (s + lam)
             out = out + (gamma / s) * (pwp[:, :lp] @ self._rfv_p)
@@ -188,10 +200,9 @@ class VklTransform:
         """
         s = np.asarray(s, dtype=np.complex128)
         lam = self._rate
-        pw = self._powers(s, self._k + 1)
-        out = (lam / s) * self._a_tail * pw[:, self._k] * self.p0(s)
-        if self._has_primed:
+        pw, pwp = self._chain_powers(s)
+        out = (lam / s) * self._a_tail * pw[:, self._k] * self._p0(s, pw, pwp)
+        if pwp is not None:
             lp = self._l
-            pwp = self._powers(s, lp + 1)
             out = out + (lam / s) * self._ap_tail * pwp[:, lp] / (s + lam)
         return out

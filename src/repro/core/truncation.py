@@ -21,11 +21,12 @@ Hence
                                 + a'(L) · P[N(t) >= L+1] ].
 
 Both factors of each product are non-increasing in ``K`` (resp. ``L``), so
-the smallest admissible truncation points are found by scanning forward —
-which is free, because the schedules are computed by forward stepping
-anyway. For the interval measure MRR the same bound applies uniformly on
-``[0, t]`` (it is non-decreasing in ``t``), so one selection serves both
-measures, as in the paper.
+the smallest admissible truncation points are found by scanning forward:
+the recorded prefix of a schedule is tested in one vectorized pass, and
+only past it is the builder stepped, one step at a time, up to the first
+admissible point — never further. For the interval measure MRR the same
+bound applies uniformly on ``[0, t]`` (it is non-decreasing in ``t``), so
+one selection serves both measures, as in the paper.
 """
 
 from __future__ import annotations
@@ -76,24 +77,25 @@ def _scan(builder: ScheduleBuilder, weight, budget: float,
           hard_cap: int) -> int:
     """Smallest k with ``a(k)·weight(k) <= budget`` (forward scan).
 
-    ``weight`` must be non-increasing in ``k``. Extends the builder on
-    demand; an exhausted builder satisfies any budget at its last index.
+    ``weight`` maps an int array of ``k`` to the (non-increasing) weights.
+    The recorded prefix is tested in one vectorized pass; past it the
+    builder is extended one step at a time, so it is never stepped beyond
+    the first admissible ``k``. An exhausted builder satisfies any budget
+    at its last index.
     """
     k = 0
     while True:
-        builder.extend_to(k)
-        n = builder.n_recorded
-        if k >= n:
-            # Exhausted before reaching k: zero mass beyond the prefix.
+        n = min(builder.n_recorded, hard_cap + 1)
+        hits = builder.a[k:n] * weight(np.arange(k, n)) <= budget
+        if hits.any():
+            return k + int(hits.argmax())
+        if builder.exhausted and n == builder.n_recorded:
             return n - 1
-        if builder.a_at(k) * weight(k) <= budget:
-            return k
-        if builder.exhausted and k >= n - 1:
-            return n - 1
-        k += 1
-        if k > hard_cap:
+        if n > hard_cap:
             raise TruncationError(
                 f"no admissible truncation point below {hard_cap}")
+        k = n
+        builder.extend_to(k)
 
 
 def select_truncation(main: ScheduleBuilder,
@@ -119,12 +121,12 @@ def select_truncation(main: ScheduleBuilder,
     share = eps_budget / (2.0 if primed is not None else 1.0)
 
     k_point = _scan(main,
-                    lambda k: r_max * poisson_expected_excess(rate_time, k),
+                    lambda ks: r_max * poisson_expected_excess(rate_time, ks),
                     share, hard_cap)
     l_point: int | None = None
     if primed is not None:
         l_point = _scan(primed,
-                        lambda k: r_max * poisson_sf(k, rate_time),
+                        lambda ks: r_max * poisson_sf(ks, rate_time),
                         share, hard_cap)
     a_k = main.a_at(k_point)
     a_l = primed.a_at(l_point) if primed is not None else None

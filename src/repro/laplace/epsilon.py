@@ -20,6 +20,8 @@ test consumes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["EpsilonAccelerator", "wynn_epsilon"]
@@ -80,7 +82,7 @@ class EpsilonAccelerator:
             denom = new[k - 1] - old[k - 1]
             prev = old[k - 2] if k >= 2 else 0.0
             scale = abs(new[k - 1]) + abs(old[k - 1])
-            if (not np.isfinite(denom)
+            if (not math.isfinite(denom)
                     or abs(denom) <= _DEGENERATE_RTOL * scale + _TINY):
                 # Exact convergence at this depth (or an inf/inf collision
                 # in an odd column): stop deepening the table here. The
@@ -88,7 +90,7 @@ class EpsilonAccelerator:
                 self._degenerate = True
                 break
             nxt = prev + 1.0 / denom
-            if not np.isfinite(nxt):
+            if not math.isfinite(nxt):
                 self._degenerate = True
                 break
             new.append(nxt)

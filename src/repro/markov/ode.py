@@ -16,7 +16,6 @@ avoid (paper, Section 1).
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.exceptions import ConvergenceError
 from repro.markov.base import TransientSolution, as_time_array
@@ -56,6 +55,10 @@ class OdeSolver:
               eps: float = 1e-12) -> TransientSolution:
         """Integrate to every requested time (``eps`` is recorded but the
         actual accuracy is governed by ``rtol``/``atol``)."""
+        # Imported here: scipy.integrate costs every ``import repro`` about
+        # 0.2 s, and only this cross-check baseline needs it.
+        from scipy.integrate import solve_ivp
+
         rewards.check_model(model)
         t_arr = as_time_array(times)
         order = np.argsort(t_arr)

@@ -156,7 +156,8 @@ def poisson_left_quantile(rate: float, eps: float) -> int:
     return lo
 
 
-def poisson_expected_excess(rate: float, k: int) -> float:
+def poisson_expected_excess(rate: float,
+                            k: np.ndarray | int) -> np.ndarray | float:
     """``E[(N - k)^+]`` for ``N ~ Poisson(rate)``.
 
     Used by the regenerative-randomization truncation bound: the chance of
@@ -164,15 +165,23 @@ def poisson_expected_excess(rate: float, k: int) -> float:
     ``a(K) * E[(N(t) - K)^+]`` (union bound over restart epochs).
 
     Identity: ``E[(N-k)^+] = rate * P[N >= k] - k * P[N >= k+1]``.
+    ``k`` may be an int or an int array (elementwise, bit-for-bit the
+    scalar result); a scalar ``k`` gives a float.
     """
-    if k < 0:
+    if np.ndim(k) == 0 and k < 0:
         return float(rate - k)
-    p_ge_k = poisson_sf(k - 1, rate)  # P[N > k-1] = P[N >= k]
-    p_ge_k1 = poisson_sf(k, rate)
-    val = rate * p_ge_k - k * p_ge_k1
+    k = np.asarray(k)
+    # P[N > k-1] = P[N >= k], then P[N >= k+1].
+    val = rate * poisson_sf(k - 1, rate) - k * poisson_sf(k, rate)
     # Guard against the tiny negative values cancellation can produce when
-    # both tails underflow to ~0.
-    return max(float(val), 0.0)
+    # both tails underflow to ~0: max(val, 0.0), which keeps -0.0 and nan.
+    if k.ndim == 0:
+        return max(float(val), 0.0)
+    val[val < 0.0] = 0.0
+    negative = k < 0
+    if negative.any():
+        val[negative] = rate - k[negative]
+    return val
 
 
 def fox_glynn(rate: float, eps: float) -> FoxGlynnWindow:

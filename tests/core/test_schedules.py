@@ -107,6 +107,59 @@ class TestInvariants:
         assert main.steps_done < 10  # exhausts after ~2 steps
 
 
+class TestSnapshots:
+    def test_snapshot_arrays_are_read_only(self, random_absorbing):
+        rewards = RewardStructure.constant(14)
+        main, _, _, _ = make_builders(random_absorbing, rewards)
+        main.extend_to(20)
+        snap = main.snapshot()
+        for name in ("a", "c", "qmass", "vmass"):
+            arr = getattr(snap, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert not main.a.flags.writeable
+
+    @pytest.mark.parametrize("first, later", [(10, 30), (30, 500)])
+    def test_snapshot_unchanged_by_later_extension(self, random_absorbing,
+                                                   first, later):
+        # Extension writes past the snapshot's prefix, and beyond the
+        # buffers' capacity it moves to new buffers: neither may touch
+        # what an earlier snapshot sees.
+        rewards = RewardStructure(np.linspace(0.1, 2.0, 14))
+        main, _, _, _ = make_builders(random_absorbing, rewards)
+        main.extend_to(first)
+        snap = main.snapshot()
+        copies = {name: getattr(snap, name).copy()
+                  for name in ("a", "c", "qmass", "vmass")}
+        main.extend_to(later)
+        for name, before in copies.items():
+            assert getattr(snap, name).tobytes() == before.tobytes(), name
+        fresh = main.snapshot()
+        assert fresh.n == later + 1
+        assert fresh.a[: snap.n].tobytes() == snap.a.tobytes()
+        assert fresh.vmass.shape == (later, 2)
+
+    def test_snapshot_shapes(self, random_irreducible):
+        rewards = RewardStructure.constant(15)
+        main, _, _, _ = make_builders(random_irreducible, rewards)
+        snap = main.snapshot()
+        assert (snap.a.shape, snap.qmass.shape, snap.vmass.shape) \
+            == ((1,), (0,), (0, 0))
+        main.extend_to(100)
+        snap = main.snapshot()
+        assert (snap.a.shape, snap.c.shape, snap.qmass.shape,
+                snap.vmass.shape) == ((101,), (101,), (100,), (100, 0))
+
+    def test_a_at_rejects_unrecorded_steps(self, random_irreducible):
+        rewards = RewardStructure.constant(15)
+        main, _, _, _ = make_builders(random_irreducible, rewards)
+        main.extend_to(5)
+        assert main.a_at(5) == main.a[5]
+        with pytest.raises(IndexError):
+            main.a_at(6)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(min_value=3, max_value=12),
        seed=st.integers(min_value=0, max_value=9999),

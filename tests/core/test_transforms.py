@@ -170,3 +170,80 @@ def test_conservation_property(seed, n, k, absorbing):
     s = np.array([0.9 + 0.7j, 3.0 + 0.0j, 0.05 + 9.0j, 11.0 - 2.0j])
     lhs = tr.trr(s) + tr.p_absorbed_a(s)
     assert np.allclose(lhs, 1.0 / s, rtol=1e-9)
+
+
+# -- one power matrix per chain per call, bit for bit ----------------------
+#
+# Frozen copies of the formulas as they stood when every evaluator
+# rebuilt ``γ^k`` itself (and ``trr`` / ``p_absorbed_a`` built it a
+# second time inside ``p0``): the shared-powers path must equal them
+# bitwise.
+
+def _ref_p0(tr, s):
+    lam = tr._rate
+    pw = tr._powers(s, tr._k + 1)
+    b_val = (s * (pw @ tr._a)
+             + lam * (pw[:, : tr._k] @ tr._vsum)
+             + lam * tr._a_tail * pw[:, tr._k])
+    if not tr._has_primed:
+        return 1.0 / b_val
+    lp = tr._l
+    pwp = tr._powers(s, lp + 1)
+    a_val = (1.0
+             - (s / (s + lam)) * (pwp[:, :lp] @ tr._ap[:lp])
+             - (lam / (s + lam)) * (pwp[:, :lp] @ tr._vsum_p)
+             - tr._ap_tail * pwp[:, lp])
+    return a_val / b_val
+
+
+def _ref_trr(tr, s):
+    lam = tr._rate
+    pw = tr._powers(s, tr._k + 1)
+    out = (pw @ tr._c + (lam / s) * (pw[:, : tr._k] @ tr._rfv)) \
+        * _ref_p0(tr, s)
+    if tr._has_primed:
+        lp = tr._l
+        pwp = tr._powers(s, lp + 1)
+        out = out + (pwp @ tr._cp) / (s + lam)
+        out = out + ((lam / (s + lam)) / s) * (pwp[:, :lp] @ tr._rfv_p)
+    return out
+
+
+def _ref_p_absorbed_a(tr, s):
+    lam = tr._rate
+    pw = tr._powers(s, tr._k + 1)
+    out = (lam / s) * tr._a_tail * pw[:, tr._k] * _ref_p0(tr, s)
+    if tr._has_primed:
+        lp = tr._l
+        pwp = tr._powers(s, lp + 1)
+        out = out + (lam / s) * tr._ap_tail * pwp[:, lp] / (s + lam)
+    return out
+
+
+ABSCISSAE = np.array([0.37 + 1.1j, 2.0 + 0.0j, 0.01 + 5.0j, 1e-3 + 40.0j,
+                      11.0 - 2.0j])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_shared_powers_bitwise_and_counted(case, monkeypatch):
+    tr, _, _ = make_case(**case)
+    chains = 2 if tr.l_point is not None else 1
+    reference = {
+        "p0": _ref_p0(tr, ABSCISSAE),
+        "trr": _ref_trr(tr, ABSCISSAE),
+        "cumulative": _ref_trr(tr, ABSCISSAE) / ABSCISSAE,
+        "p_absorbed_a": _ref_p_absorbed_a(tr, ABSCISSAE),
+    }
+    calls = []
+    powers = VklTransform._powers
+
+    def counted(self, s, n):
+        calls.append(n)
+        return powers(self, s, n)
+
+    monkeypatch.setattr(VklTransform, "_powers", counted)
+    for name, want in reference.items():
+        calls.clear()
+        got = getattr(tr, name)(ABSCISSAE)
+        assert len(calls) == chains, name
+        assert got.tobytes() == want.tobytes(), name

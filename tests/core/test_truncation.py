@@ -11,7 +11,7 @@ from repro.core.truncation import (
     truncation_error_bound,
 )
 from repro.exceptions import TruncationError
-from repro.markov.poisson import poisson_expected_excess
+from repro.markov.poisson import poisson_expected_excess, poisson_sf
 from repro.models import erlang_chain, random_ctmc
 
 
@@ -106,3 +106,135 @@ class TestBoundFunction:
         # With a'(L)=1 and L=0 the primed term is r_max·P[N >= 1] <= r_max.
         b = truncation_error_bound(0.0, 0, 1.0, 0, 5.0, 1.0)
         assert 0.9 < b <= 1.0
+
+
+# -- the scalar forward scan the vectorized one replaced ------------------
+#
+# A frozen copy of the one-k-at-a-time selection, with the scalar
+# expected-excess formula: the reference the vectorized ``_scan`` must
+# reproduce bit for bit, including how far it steps the builders.
+
+def _ref_excess(rate, k):
+    if k < 0:
+        return float(rate - k)
+    val = rate * poisson_sf(k - 1, rate) - k * poisson_sf(k, rate)
+    return max(float(val), 0.0)
+
+
+def _ref_scan(builder, weight, budget, hard_cap):
+    k = 0
+    while True:
+        builder.extend_to(k)
+        n = builder.n_recorded
+        if k >= n:
+            return n - 1
+        if builder.a_at(k) * weight(k) <= budget:
+            return k
+        if builder.exhausted and k >= n - 1:
+            return n - 1
+        k += 1
+        if k > hard_cap:
+            raise TruncationError("hard cap")
+
+
+def _ref_select(main, primed, rate, t, eps_budget, r_max,
+                hard_cap=2_000_000):
+    rate_time = rate * t
+    share = eps_budget / (2.0 if primed is not None else 1.0)
+    k = _ref_scan(main, lambda k: r_max * _ref_excess(rate_time, k),
+                  share, hard_cap)
+    l = None
+    if primed is not None:
+        l = _ref_scan(primed, lambda k: r_max * poisson_sf(k, rate_time),
+                      share, hard_cap)
+    err = r_max * main.a_at(k) * _ref_excess(rate_time, k)
+    if primed is not None:
+        err += r_max * primed.a_at(l) * poisson_sf(l, rate_time)
+    return k, l, float(err)
+
+
+def _reference_models():
+    initial = np.zeros(12)
+    initial[0], initial[4] = 0.7, 0.3
+    return {
+        # Primed chain (α_r < 1) with absorbing states: both scans.
+        "primed": (random_ctmc(12, density=0.35, seed=4, absorbing=2,
+                               initial=initial),
+                   RewardStructure(np.linspace(0.2, 1.5, 12))),
+        "irreducible": (random_ctmc(15, density=0.3, seed=7),
+                        RewardStructure.constant(15)),
+        # Never regenerates; mass reaches the absorbing end after 30 steps.
+        "erlang": erlang_chain(30, 1.0),
+    }
+
+
+TIMES = (1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5)
+EPSILONS = (1e-4, 1e-8, 1e-12)
+
+
+@pytest.mark.parametrize("start", ["fresh", "partly_extended", "exhausted"])
+@pytest.mark.parametrize("name", ["primed", "irreducible", "erlang"])
+def test_vectorized_scan_matches_scalar_reference(name, start):
+    model, rewards = _reference_models()[name]
+    pairs = [ScheduleBuilder.for_model(model, rewards, 0)[:3]
+             for _ in range(2)]
+    for main, primed, _ in pairs:
+        if start == "partly_extended":
+            main.extend_to(9)
+            if primed is not None:
+                primed.extend_to(4)
+        elif start == "exhausted":
+            main.extend_to(10**6)
+            if primed is not None:
+                primed.extend_to(10**6)
+    (main, primed, rate), (ref_main, ref_primed, _) = pairs
+    if start == "exhausted":
+        assert main.exhausted and (primed is None or primed.exhausted)
+    # A shuffled query order moves back and forth over the prefix.
+    queries = [(t, eps) for t in TIMES for eps in EPSILONS]
+    order = np.random.default_rng(0).permutation(len(queries))
+    r_max = rewards.max_rate
+    for i in order:
+        t, eps = queries[i]
+        got = select_truncation(main, primed, rate, t, eps, r_max)
+        want = _ref_select(ref_main, ref_primed, rate, t, eps, r_max)
+        assert (got.k_point, got.l_point) == want[:2], (t, eps)
+        assert got.error_bound.hex() == want[2].hex(), (t, eps)
+        assert main.steps_done == ref_main.steps_done
+        if primed is not None:
+            assert primed.steps_done == ref_primed.steps_done
+
+
+@pytest.mark.parametrize("extended", [0, 3, 40, 1000])
+def test_hard_cap_matches_scalar_reference(extended):
+    # Whether the cap falls inside the recorded prefix or past it, both
+    # scans raise, after stepping the builder equally far — even when the
+    # prefix holds an admissible point beyond the cap (the chain is
+    # exhausted at 50 when extended to 1000).
+    model, rewards = erlang_chain(50, 1.0)
+    main, _, rate, _ = ScheduleBuilder.for_model(model, rewards, 0)
+    ref_main, _, _, _ = ScheduleBuilder.for_model(model, rewards, 0)
+    main.extend_to(extended)
+    ref_main.extend_to(extended)
+    with pytest.raises(TruncationError):
+        select_truncation(main, None, rate, 50.0, 1e-12, 1.0, hard_cap=5)
+    with pytest.raises(TruncationError):
+        _ref_select(ref_main, None, rate, 50.0, 1e-12, 1.0, hard_cap=5)
+    assert main.steps_done == ref_main.steps_done
+
+
+def test_exhausted_prefix_below_every_budget():
+    # An exhausted schedule whose last a(k) is tiny but non-zero, against
+    # a budget even smaller: with Λt far beyond the prefix every weight is
+    # about Λt, no k is admissible, and both scans settle on the last
+    # recorded step.
+    model, rewards = _reference_models()["irreducible"]
+    main, _, rate, _ = ScheduleBuilder.for_model(model, rewards, 0)
+    ref_main, _, _, _ = ScheduleBuilder.for_model(model, rewards, 0)
+    for builder in (main, ref_main):
+        builder.extend_to(10**6)
+    assert main.exhausted and main.a_at(main.n_recorded - 1) > 0.0
+    got = select_truncation(main, None, rate, 1e7, 1e-320, 1.0)
+    want = _ref_select(ref_main, None, rate, 1e7, 1e-320, 1.0)
+    assert got.k_point == want[0] == main.n_recorded - 1
+    assert got.error_bound.hex() == want[2].hex()

@@ -89,3 +89,79 @@ def test_geometric_property(ratio, scale, n):
     est = wynn_epsilon(sums)
     limit = scale / (1.0 - ratio)
     assert est == pytest.approx(limit, rel=1e-8, abs=1e-8)
+
+
+# -- edge cases against the numpy-predicate accelerator ---------------------
+
+class _NumpyPredicateAccelerator:
+    """Frozen copy of ``EpsilonAccelerator.add`` as it was when its
+    finiteness tests called ``np.isfinite`` on Python floats: the oracle
+    the ``math.isfinite`` version must match bit for bit."""
+
+    def __init__(self):
+        self._diag = []
+        self._degenerate = False
+
+    def add(self, partial_sum):
+        s = float(partial_sum)
+        old = self._diag
+        new = [s]
+        for k in range(1, len(old) + 1):
+            denom = new[k - 1] - old[k - 1]
+            prev = old[k - 2] if k >= 2 else 0.0
+            scale = abs(new[k - 1]) + abs(old[k - 1])
+            if (not np.isfinite(denom)
+                    or abs(denom) <= 5e-14 * scale + 1e-300):
+                self._degenerate = True
+                break
+            nxt = prev + 1.0 / denom
+            if not np.isfinite(nxt):
+                self._degenerate = True
+                break
+            new.append(nxt)
+        self._diag = new
+        top = len(new) - 1
+        if top % 2 == 1:
+            top -= 1
+        return new[top]
+
+
+def struct_bits(value: float) -> bytes:
+    """Exact bit pattern (distinguishes nan payloads, -0.0 and inf)."""
+    return np.float64(value).tobytes()
+
+
+GEOMETRIC = list(partial_sums(0.5 ** np.arange(30)))
+
+EDGE_STREAMS = {
+    "exact_geometric": GEOMETRIC,
+    "inf_term": [1.0, 1.5, 1.75, np.inf, 1.9, 1.95, 1.975, 1.99],
+    "nan_term": [1.0, 1.5, np.nan, 1.8, 1.9, 1.95, 1.975],
+    "inf_first": [np.inf, 1.0, 0.5, 0.25, 0.125],
+    "neg_inf_then_inf": [2.0, -np.inf, np.inf, 3.0, 3.5, 3.25, 3.375],
+    "tiny_denominators": [0.0, 1e-300, 0.0, 1e-300, 0.0, 2.0, 1.0],
+    "geometric_then_nan": GEOMETRIC[:12] + [np.nan] + GEOMETRIC[12:20],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_STREAMS))
+def test_edge_streams_match_numpy_predicate_oracle(name):
+    acc = EpsilonAccelerator()
+    oracle = _NumpyPredicateAccelerator()
+    for term in EDGE_STREAMS[name]:
+        got, want = acc.add(term), oracle.add(term)
+        assert struct_bits(got) == struct_bits(want)
+        assert acc._degenerate == oracle._degenerate
+        assert [struct_bits(v) for v in acc._diag] \
+            == [struct_bits(v) for v in oracle._diag]
+
+
+def test_exact_geometric_stream_breaks_degenerate():
+    # ε_2 is already exact on a geometric stream: the table must stop
+    # deepening there instead of dividing by round-off.
+    acc = EpsilonAccelerator()
+    for term in GEOMETRIC:
+        est = acc.add(term)
+    assert acc._degenerate
+    assert len(acc._diag) < len(GEOMETRIC)
+    assert est == pytest.approx(2.0, rel=1e-15)

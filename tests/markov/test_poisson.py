@@ -103,6 +103,21 @@ class TestExpectedExcess:
     def test_never_negative(self):
         assert poisson_expected_excess(1e6, 2 * 10**6) >= 0.0
 
+    @pytest.mark.parametrize("rate, ks", [
+        (0.5, np.arange(-3, 40)),
+        (300.0, np.arange(0, 600)),
+        # Both tails near underflow: cancellation makes the raw formula
+        # slightly negative at some of these k, so the clamp is exercised.
+        (1e6, np.arange(1_038_400, 1_038_500)),
+    ])
+    def test_array_matches_scalar_bitwise(self, rate, ks):
+        vec = poisson_expected_excess(rate, ks)
+        assert isinstance(vec, np.ndarray) and vec.shape == ks.shape
+        scalar = [poisson_expected_excess(rate, int(k)) for k in ks]
+        assert [v.hex() for v in vec.tolist()] == \
+            [v.hex() for v in scalar]
+        assert np.all(vec >= 0.0)
+
 
 class TestFoxGlynn:
     @pytest.mark.parametrize("rate", RATES)

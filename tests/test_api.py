@@ -1,5 +1,9 @@
 """Public API surface: exports, version, and the README quickstart."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,20 @@ class TestExports:
     def test_markov_and_core_reexports_consistent(self):
         from repro.core import RRLSolver as core_rrl
         assert repro.RRLSolver is core_rrl
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # Only the ODE baseline needs scipy.integrate; importing it eagerly
+        # would tax every CLI call and spawned worker. A fresh interpreter
+        # is the only place sys.modules is not already polluted.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__))]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        code = ("import sys, repro; "
+                "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestExceptionHierarchy:
