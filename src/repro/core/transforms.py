@@ -29,14 +29,24 @@ sums vanish (the paper's ``V_K`` case).
 
 Evaluation strategy: all sums are polynomials in ``γ`` with non-negative
 coefficients. For a batch of abscissae we form the matrix of powers
-``γ^k`` via ``exp(k·log γ)`` (``|γ| < 1`` for ``Re s > 0``, so this is
-stable and fully vectorized) and take inner products with the coefficient
-vectors; the powers matrix is shared by all five sums, and the transform
-also exposes ``p_absorbed_a`` — the transform of the probability of the
-truncation state — used by a-posteriori error checks.
+``γ^k``, ``k < n``, and take inner products with the coefficient vectors;
+one matrix per chain is shared by all the sums of a call. The matrix is a
+two-level table: with ``B = ⌈√n⌉``, the "baby" powers ``γ^i = exp(i·log γ)``
+(``i < B``) and the "giant" powers ``γ^{jB} = exp(jB·log γ)`` are the only
+exponentials, and every entry ``γ^{jB+i} = γ^{jB}·γ^i`` is one complex
+product: about ``2√n`` exponentials per abscissa rather than one per
+entry. Since ``|γ| < 1`` for ``Re s > 0`` nothing can overflow, and the
+relative error of ``γ^k`` stays of the order ``k·|log γ|·u`` (``u`` the
+unit round-off), as with ``exp(k·log γ)`` itself: it is set by the
+rounding of ``γ`` and ``log γ``, which the powers amplify by ``k``; the
+extra product adds a few ulps. The transform also exposes
+``p_absorbed_a`` — the transform of the probability of the truncation
+state — used by a-posteriori error checks.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -131,11 +141,27 @@ class VklTransform:
         return self._l
 
     def _powers(self, s: np.ndarray, n: int) -> np.ndarray:
-        """Matrix ``γ(s)^k`` of shape ``(len(s), n)``."""
-        gamma = self._rate / (s + self._rate)
-        ks = np.arange(n, dtype=np.float64)
-        pw = np.log(gamma)[:, None] * ks[None, :]
-        return np.exp(pw, out=pw)
+        """Matrix ``γ(s)^k``, ``k < n``, of shape ``(len(s), n)``.
+
+        Two-level table with ``B = ⌈√n⌉`` and ``m = ⌈n/B⌉`` blocks: the
+        first block holds the baby powers ``exp(i·log γ)``, ``i < B``,
+        exactly; block ``j >= 1`` is the giant power ``exp(jB·log γ)``
+        times the baby row, one broadcast product. The result is the
+        ``[:, :n]`` view of the ``(len(s), m·B)`` table, so its rows keep
+        unit column stride and stay BLAS-able without a copy. Relative
+        error is of the order ``k·|log γ|·u``, as for ``exp(k·log γ)``.
+        """
+        log_g = np.log(self._rate / (s + self._rate))[:, None]
+        b = math.isqrt(n - 1) + 1
+        m = -(-n // b)
+        baby = np.exp(log_g * np.arange(b, dtype=np.float64))
+        giant = np.exp(log_g * np.arange(b, m * b, b, dtype=np.float64))
+        pw = np.empty((s.shape[0], m * b), dtype=np.complex128)
+        blocks = pw.reshape(s.shape[0], m, b)
+        blocks[:, 0, :] = baby
+        np.multiply(giant[:, :, None], baby[:, None, :],
+                    out=blocks[:, 1:, :])
+        return pw[:, :n]
 
     # -- transform components ---------------------------------------------
     #

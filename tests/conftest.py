@@ -9,6 +9,11 @@ from repro import CTMC, RewardStructure
 from repro.models import random_ctmc, two_state_availability
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a test that takes tens of seconds")
+
+
 @pytest.fixture
 def two_state():
     """(model, rewards, fail, repair) of the canonical up/down machine."""

@@ -118,3 +118,31 @@ def test_exponential_inversion_property(decay, t, eps_exp):
     eps = 10.0 ** (-eps_exp)
     res = invert_bounded(lambda s: 1.0 / (s + decay), t, eps=eps, bound=1.0)
     assert abs(res.value - np.exp(-decay * t)) <= 2.5 * eps
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: the stopping rule declares convergence on agreement "
+    "between successive Wynn estimates, which is not an error estimate"))
+def test_block_mrr_stopping_rule_false_convergence():
+    """Known false convergence, pinned as evidence for ROADMAP item 1.
+
+    On block-0-3x5 MRR at t=1000, ε=1e-10, RRL stops after 471 abscissae
+    at 0.28017258893986785, while SR gives 0.28017258842650605: the gap,
+    5.1e-10, exceeds the two solvers' combined ε. The Durbin series
+    itself settles about 4.3e-11 from SR after some 800 terms, so it is
+    the stopping rule, not the transform, that misses. A sound rule turns
+    this test into an XPASS, which strict mode reports as a failure:
+    then drop the mark.
+    """
+    from repro import MRR, TRR, generate_scenarios
+    from repro.analysis import solve
+
+    scenario, = [s for s in generate_scenarios(("block",), seed=1,
+                                               random_count=1,
+                                               measures=(TRR, MRR))
+                 if s.name == "block-0-3x5/mrr"]
+    model, rewards = scenario.build()
+    eps = 1e-10
+    rrl = solve(model, rewards, MRR, [1e3], eps=eps, method="RRL")
+    sr = solve(model, rewards, MRR, [1e3], eps=eps, method="SR")
+    assert abs(rrl.values[0] - sr.values[0]) <= 2.0 * eps
