@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_series, format_table
 from repro.analysis.runner import get_solver
-from repro.batch.planner import ExecutionPlan, SolveRequest
+from repro.batch.planner import ExecutionPlan, SolveRequest, cached_model
 from repro.batch.runner import BatchTask
 from repro.service.service import SolveService
 from repro.batch.scenarios import Scenario
@@ -312,7 +312,12 @@ def _steps_column(config: ExperimentConfig, g: int, kind: str,
     predict = get_spec(column).predict_steps
     if predict is None:
         raise ValueError(f"method {column!r} has no analytic step count")
-    model, rewards = _build(config, g, kind)
+    # The model comes from the worker's cache under the fingerprint of
+    # the table's solve requests: exploring a paper-scale RAID-5 model
+    # only to read its max output rate would double its build.
+    model, rewards = cached_model(SolveRequest(
+        scenario=_raid5_scenario(config, g, kind), measure=Measure.TRR,
+        times=config.times, eps=config.eps, method=column))
     lam = model.max_output_rate
     return [predict(lam * t, config.eps / rewards.max_rate,
                     Measure.TRR) - 1

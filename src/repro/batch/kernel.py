@@ -21,6 +21,20 @@ vector ``j`` alone (scipy's CSR multi-vector product accumulates each
 column in the same order as its matvec), so batching never changes any
 solver's numerics — a property the unit tests pin down.
 
+Stepping calls scipy's compiled CSR routines (``csr_matvec`` for one
+vector, ``csr_matvecs`` for a stack) directly rather than through the
+``@`` operator. These are the routines ``@`` ends up in, so every product
+accumulates in the same order and is bit for bit the same; what is
+skipped is ``@``'s Python-level dispatch (type, shape and dtype checks),
+which costs more than the product itself on chains of a few hundred
+states, is paid once per step, and holds the GIL. The compiled call
+releases the GIL, and each call writes into a freshly zeroed output, so
+one kernel stays safe to share across threads. ``_sparsetools`` is a
+private scipy module: this was verified bit for bit against ``@`` on
+scipy 1.17, and CI bounds scipy below 1.18 so that a change to these
+routines arrives as a deliberate version bump, caught by the kernel's
+bitwise tests.
+
 :func:`shared_fox_glynn` centralizes (2) behind a process-wide LRU cache
 keyed on ``(Λt, ε)``. Sweeps revisit the same key constantly — a
 multi-``t`` SR solve, RR's truncation selection plus its inner SR solve,
@@ -39,6 +53,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from repro.exceptions import ModelError
 from repro.markov.poisson import FoxGlynnWindow, fox_glynn, poisson_sf
@@ -181,11 +196,11 @@ class UniformizationKernel:
     1-D vectors work everywhere a stack does.
 
     A kernel is safe to *share across threads* (the thread backend's
-    whole point): stepping only reads the CSR matrices and returns fresh
-    arrays. The one mutable bit, the informational :attr:`steps_done`
-    counter, is deliberately not locked — a per-step lock would tax the
-    hot path for a diagnostic number — so under concurrent stepping it
-    is a lower bound, not an exact count.
+    whole point): it holds no mutable state, stepping only reads the CSR
+    arrays and every call returns a fresh array. :meth:`step` and
+    :meth:`step_rate` hand the CSR arrays straight to scipy's compiled
+    product — the one ``@`` dispatches to, hence the same accumulation
+    order bit for bit — which releases the GIL while it runs.
     """
 
     def __init__(self,
@@ -215,7 +230,6 @@ class UniformizationKernel:
             n = q.shape[0]
         self._rate = float(rate) if rate is not None else None
         self._n = int(n)  # type: ignore[arg-type]
-        self._steps = 0
         self._dtmc: "DTMC | None" = None
 
     # -- constructors ------------------------------------------------------
@@ -267,11 +281,6 @@ class UniformizationKernel:
         return self._rate
 
     @property
-    def steps_done(self) -> int:
-        """Matrix–vector/matrix products performed through this kernel."""
-        return self._steps
-
-    @property
     def has_generator(self) -> bool:
         """Whether ``Q`` is available (required by :meth:`step_rate`)."""
         return self._qt is not None
@@ -288,14 +297,44 @@ class UniformizationKernel:
 
     # -- stepping ----------------------------------------------------------
 
+    def _product(self, mat: sparse.csr_matrix,
+                 stack: np.ndarray) -> np.ndarray:
+        """``mat @ stack`` through scipy's compiled CSR product.
+
+        Mirrors the ``@`` dispatch for an ndarray: a vector or a
+        one-column stack goes through ``csr_matvec``, a wider stack
+        through ``csr_matvecs`` over its C-ordered ravel; the output is
+        freshly zeroed either way. The compiled routines do not check
+        lengths, so the shape check here is what keeps them in bounds.
+        """
+        n = self._n
+        shape = stack.shape
+        arrays = (mat.indptr, mat.indices, mat.data)
+        if shape == (n,):
+            out = np.zeros(n)
+            _sparsetools.csr_matvec(n, n, *arrays, stack, out)
+            return out
+        if len(shape) != 2 or shape[0] != n:
+            raise ValueError(
+                f"cannot step a stack of shape {shape} through a "
+                f"{n}-state kernel")
+        if shape[1] == 1:
+            out = np.zeros(n)
+            _sparsetools.csr_matvec(n, n, *arrays, stack.ravel(), out)
+            return out.reshape(n, 1)
+        k = shape[1]
+        out = np.zeros((n, k))
+        _sparsetools.csr_matvecs(n, n, k, *arrays, stack.ravel(),
+                                 out.ravel())
+        return out
+
     def step(self, stack: np.ndarray) -> np.ndarray:
         """One uniformized step of every column: ``stack ↦ Pᵀ stack``."""
         if self._pt is None:
             raise ModelError(
                 "kernel was built without a transition matrix; "
                 "fixed-rate stepping needs P")
-        self._steps += 1
-        return self._pt @ stack
+        return self._product(self._pt, stack)
 
     def propagate(self, stack: np.ndarray, n_steps: int) -> np.ndarray:
         """Apply ``n_steps >= 0`` uniformized steps to the stack."""
@@ -317,8 +356,9 @@ class UniformizationKernel:
                 "kernel was built without a generator; step_rate needs Q")
         if rate <= 0.0:
             raise ValueError("rate must be positive")
-        self._steps += 1
-        return stack + (self._qt @ stack) / rate
+        flow = self._product(self._qt, stack)
+        flow /= rate
+        return np.add(stack, flow, out=flow)
 
     def reward_sequence(self,
                         initial: np.ndarray,
@@ -401,7 +441,7 @@ class UniformizationKernel:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"UniformizationKernel(n_states={self._n}, "
-                f"rate={self._rate}, steps_done={self._steps})")
+                f"rate={self._rate})")
 
 
 def ensure_model_kernel(model: "CTMC",

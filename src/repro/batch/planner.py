@@ -70,6 +70,7 @@ __all__ = [
     "solve_requests",
     "run_request",
     "run_fused_group",
+    "cached_model",
     "worker_cache_clear",
     "worker_cache_info",
 ]
@@ -269,7 +270,8 @@ def _cache_entry(request: SolveRequest) -> list:
     """Fetch-or-build the cache slot for a request's model.
 
     Callers must hold ``_worker_cache_lock`` (asserted nowhere for speed;
-    :func:`_resolve_cached` is the one call site).
+    :func:`_resolve_cached` and :func:`cached_model`, the two call sites,
+    both do).
     """
     global _worker_cache_hits, _worker_cache_misses
     fp = model_fingerprint(request)
@@ -290,17 +292,33 @@ def _cache_entry(request: SolveRequest) -> list:
     return entry
 
 
+def _model_and_rewards(request: SolveRequest, entry: list
+                       ) -> tuple[CTMC, RewardStructure]:
+    rewards = request.rewards if request.rewards is not None else entry[1]
+    if rewards is None:
+        raise ModelError("request resolves to no reward structure")
+    return entry[0], rewards
+
+
+def cached_model(request: SolveRequest) -> tuple[CTMC, RewardStructure]:
+    """``(model, rewards)`` of a request from this process's worker cache.
+
+    The same model the request's solve runs against (built on a miss and
+    kept for it), but no kernel is built: for analytic work that only
+    reads the model, such as a step prediction from its
+    ``max_output_rate``, instead of exploring it a second time.
+    """
+    with _worker_cache_lock:
+        return _model_and_rewards(request, _cache_entry(request))
+
+
 def _resolve_cached(request: SolveRequest
                     ) -> tuple[CTMC, RewardStructure,
                                UniformizationKernel | None]:
     """Model, rewards and (when shareable) the cached default-rate kernel."""
     with _worker_cache_lock:
         entry = _cache_entry(request)
-        model = entry[0]
-        rewards = request.rewards if request.rewards is not None \
-            else entry[1]
-        if rewards is None:
-            raise ModelError("request resolves to no reward structure")
+        model, rewards = _model_and_rewards(request, entry)
         kernel: UniformizationKernel | None = None
         if (registry.get_spec(request.method).kernel_aware
                 and "rate" not in request.solver_kwargs):

@@ -57,6 +57,16 @@ def _rsd_requirements(t_arr: np.ndarray, rate: float, eps: float,
     return req
 
 
+def _l1_distance(pi: np.ndarray, pi_inf: np.ndarray,
+                 scratch: np.ndarray) -> float:
+    """``‖π − π_∞‖₁``, the arithmetic of ``np.abs(pi - pi_inf).sum()``
+    (bit for bit) in a reused ``scratch`` buffer instead of two fresh
+    arrays per detection step."""
+    np.subtract(pi, pi_inf, out=scratch)
+    np.abs(scratch, out=scratch)
+    return float(scratch.sum())
+
+
 def _rsd_values(kernel: UniformizationKernel, d: np.ndarray,
                 k_ss: int | None, req: np.ndarray, t_arr: np.ndarray,
                 rate: float, eps: float, r_max: float, d_inf: float,
@@ -167,10 +177,11 @@ class SteadyStateDetectionSolver:
         # Step until detection or until the largest horizon is served.
         d_list: list[float] = []
         pi = dtmc.initial.copy()
+        scratch = np.empty_like(pi_inf)
         k_ss: int | None = None
         for n in range(n_budget):
             d_list.append(float(r @ pi))
-            if float(np.abs(pi - pi_inf).sum()) <= delta:
+            if _l1_distance(pi, pi_inf, scratch) <= delta:
                 k_ss = n + 1  # d_n for n >= k_ss replaced by d_inf
                 break
             if n + 1 < n_budget:
@@ -256,6 +267,7 @@ class SteadyStateDetectionSolver:
         if live:
             n_total = max(st.n_budget for st in live)
             pi = dtmc.initial.copy()
+            scratch = np.empty_like(pi_inf)
             for n in range(n_total):
                 dist: float | None = None
                 pending = False
@@ -266,7 +278,7 @@ class SteadyStateDetectionSolver:
                     if dist is None:
                         # One shared distance per step: π_n is common to
                         # every cell, only the δ threshold differs.
-                        dist = float(np.abs(pi - pi_inf).sum())
+                        dist = _l1_distance(pi, pi_inf, scratch)
                     if dist <= st.delta:
                         st.k_ss = n + 1
                         st.done = True

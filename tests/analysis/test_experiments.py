@@ -53,6 +53,25 @@ class TestStepTables:
         assert "Table 1" in out
         assert "paper" not in out
 
+    def test_table2_explores_each_model_once(self, monkeypatch):
+        # The analytic SR column reads the model the RRL cell solves on,
+        # from the worker cache, instead of exploring it again.
+        from repro.batch.planner import worker_cache_clear
+        from repro.models.builder import StateSpaceBuilder
+        from repro.service.service import SolveService
+
+        explores = []
+        explore = StateSpaceBuilder.explore
+
+        def counted(self, *args, **kwargs):
+            explores.append(1)
+            return explore(self, *args, **kwargs)
+
+        monkeypatch.setattr(StateSpaceBuilder, "explore", counted)
+        worker_cache_clear()
+        run_table2(CFG, service=SolveService(workers=1, backend="serial"))
+        assert len(explores) == 1
+
     def test_paper_constants_sanity(self):
         assert PAPER_TABLE1[20][0][0] == 56
         assert PAPER_TABLE2[40][1][-1] == 4390141

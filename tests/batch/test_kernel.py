@@ -5,8 +5,12 @@ The load-bearing property: batching vectors into a stack must be
 were rewired onto the kernel may not change a single ulp.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.batch.kernel import (
     UniformizationKernel,
@@ -19,6 +23,20 @@ from repro.batch.kernel import (
 from repro.exceptions import ModelError
 from repro.markov.poisson import fox_glynn
 from repro.models.library import random_ctmc, two_state_availability
+
+
+def count_steps(kernel):
+    """Wrap ``kernel.step`` (on the instance) so every call — including
+    the kernel's own, which go through ``self.step`` — is counted."""
+    calls = {"steps": 0}
+    step = kernel.step
+
+    def counted(stack):
+        calls["steps"] += 1
+        return step(stack)
+
+    kernel.step = counted
+    return calls
 
 
 @pytest.fixture
@@ -79,11 +97,11 @@ class TestStackedPropagation:
 
     def test_reward_sequences_steps_once_per_level(self, kernel_and_model):
         kernel, dtmc, _, model = kernel_and_model
-        before = kernel.steps_done
+        calls = count_steps(kernel)
         kernel.reward_sequences(dtmc.initial, np.ones((model.n_states, 6)),
                                 10)
         # 9 steps for 10 levels, independent of the 6 reward columns.
-        assert kernel.steps_done - before == 9
+        assert calls["steps"] == 9
 
     def test_reward_sequences_shape_checks(self, kernel_and_model):
         kernel, dtmc, _, model = kernel_and_model
@@ -104,9 +122,9 @@ class TestStackedPropagation:
 
     def test_step_counter(self, kernel_and_model):
         kernel, dtmc, _, _ = kernel_and_model
-        assert kernel.steps_done == 0
+        calls = count_steps(kernel)
         kernel.propagate(dtmc.initial, 4)
-        assert kernel.steps_done == 4
+        assert calls["steps"] == 4
 
 
 class TestStepRate:
@@ -146,6 +164,134 @@ class TestStepRate:
             kernel.step(v)
         with pytest.raises(ModelError):
             UniformizationKernel(None)
+
+
+def _zero_row_chain():
+    """A sub-stochastic ``P`` with an all-zero row (state 3 leaks all its
+    mass) and an all-zero column (nothing enters state 5)."""
+    dtmc, _ = random_ctmc(12, density=0.4, seed=5).uniformize()
+    p = dtmc.transition_matrix.tolil()
+    p[3, :] = 0.0
+    p[:, 5] = 0.0
+    return sparse.csr_matrix(p)
+
+
+def _int64_chain():
+    """A CSR input with int64 index arrays (a ``csr_array`` keeps them;
+    ``csr_matrix`` would downcast)."""
+    dtmc, _ = random_ctmc(25, density=0.3, seed=9).uniformize()
+    p = dtmc.transition_matrix.tocsr()
+    return sparse.csr_array((p.data, p.indices.astype(np.int64),
+                             p.indptr.astype(np.int64)), shape=p.shape)
+
+
+def _stack_inputs(n):
+    """Every stack layout ``step`` takes: a vector, C- and F-ordered
+    stacks, a one-column stack and a strided column view."""
+    rng = np.random.default_rng(17)
+    wide = rng.random((n, 4))
+    return {"vector": rng.random(n),
+            "c_stack": wide,
+            "f_stack": np.asfortranarray(wide),
+            "one_column": rng.random((n, 1)),
+            "column_view": wide[:, 2]}
+
+
+def _at(mat, x):
+    """``matᵀ @ x`` through scipy's ``@``: the product the kernel's
+    direct call must reproduce bit for bit."""
+    return sparse.csr_matrix(mat).T.tocsr() @ x
+
+
+class TestDirectStepping:
+    """``step``/``step_rate`` call scipy's compiled CSR product directly;
+    they must equal what ``@`` gives, bit for bit and shape for shape."""
+
+    @pytest.mark.parametrize("chain", ["random", "zero_row", "int64"])
+    @pytest.mark.parametrize("layout", ["vector", "c_stack", "f_stack",
+                                        "one_column", "column_view"])
+    def test_step_equals_matmul_bitwise(self, chain, layout):
+        p = {"random": lambda: random_ctmc(40, density=0.2, seed=7)
+             .uniformize()[0].transition_matrix,
+             "zero_row": _zero_row_chain, "int64": _int64_chain}[chain]()
+        kernel = UniformizationKernel(p)
+        x = _stack_inputs(p.shape[0])[layout]
+        got = kernel.step(x)
+        want = _at(p, x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        if chain == "int64":
+            # The transpose is downcast to int32 at this size; only
+            # matrices past 2³¹ non-zeros keep int64 indices. Step
+            # through the int64 routines explicitly.
+            wide = kernel._pt.copy()
+            wide.indptr = wide.indptr.astype(np.int64)
+            wide.indices = wide.indices.astype(np.int64)
+            assert np.array_equal(kernel._product(wide, x), want)
+        if chain == "zero_row":
+            assert np.all(got[5] == 0.0)  # no inflow into state 5
+
+    @pytest.mark.parametrize("absorbing", [0, 2])
+    @pytest.mark.parametrize("layout", ["vector", "c_stack", "f_stack",
+                                        "one_column", "column_view"])
+    def test_step_rate_equals_matmul_bitwise(self, absorbing, layout):
+        # Absorbing states give the generator all-zero rows.
+        model = random_ctmc(20, density=0.3, seed=11, absorbing=absorbing)
+        kernel = UniformizationKernel.from_generator(model)
+        x = _stack_inputs(model.n_states)[layout]
+        rate = 1.5 * model.max_output_rate
+        got = kernel.step_rate(x, rate)
+        want = x + _at(model.generator, x) / rate
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_returns_fresh_arrays(self, kernel_and_model):
+        kernel, dtmc, _, _ = kernel_and_model
+        pi = dtmc.initial.copy()
+        first = kernel.step(pi)
+        second = kernel.step(pi)
+        assert first is not second and first is not pi
+        assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("shape", [(39,), (41, 2), (40, 2, 1)])
+    def test_rejects_mismatched_shapes(self, kernel_and_model, shape):
+        # The compiled routine does not check lengths; the kernel must.
+        kernel, *_ = kernel_and_model
+        with pytest.raises(ValueError):
+            kernel.step(np.ones(shape))
+        with pytest.raises(ValueError):
+            kernel.step_rate(np.ones(shape), 10.0)
+
+    def test_shared_kernel_across_threads(self, kernel_and_model):
+        # Threads stepping one kernel at once — vectors and stacks, more
+        # threads than cores, frequent switches — must each get exactly
+        # the serial result.
+        kernel, _, _, model = kernel_and_model
+        rng = np.random.default_rng(29)
+        starts = [rng.dirichlet(np.ones(model.n_states)),
+                  rng.dirichlet(np.ones(model.n_states), size=3).T] * 3
+        serial = [kernel.propagate(x, 300) for x in starts]
+        barrier = threading.Barrier(len(starts))
+        results = [None] * len(starts)
+
+        def run(i):
+            barrier.wait()
+            results[i] = kernel.propagate(starts[i], 300)
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(starts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, serial):
+            assert np.array_equal(got, want)
 
 
 class TestFoxGlynnCache:

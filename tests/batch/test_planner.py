@@ -9,6 +9,7 @@ from repro.analysis.runner import get_solver
 from repro.batch.kernel import kernel_build_count
 from repro.batch.planner import (
     SolveRequest,
+    cached_model,
     execute_requests,
     model_fingerprint,
     plan_requests,
@@ -240,6 +241,21 @@ class TestWorkerCache:
         info = worker_cache_info()
         assert info["misses"] == 1
         assert info["hits"] == len(reqs) - 1
+
+    def test_cached_model_is_the_solve_model(self):
+        # Analytic work reads the model its cell's solve uses: one build,
+        # shared both ways, and no kernel built for the model-only read.
+        worker_cache_clear()
+        req = _request(method="RRL")
+        before = kernel_build_count()
+        model, rewards = cached_model(req)
+        assert kernel_build_count() == before
+        assert np.array_equal(rewards.rates,
+                              req.scenario.build()[1].rates)
+        run_request(req)
+        assert cached_model(req)[0] is model
+        info = worker_cache_info()
+        assert info["misses"] == 1 and info["hits"] == 2
 
     def test_cache_serves_scenario_default_rewards(self):
         worker_cache_clear()

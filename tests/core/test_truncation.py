@@ -6,6 +6,7 @@ import pytest
 from repro import RewardStructure
 from repro.core.schedules import ScheduleBuilder
 from repro.core.truncation import (
+    _FIRST_CHUNK,
     TruncationChoice,
     select_truncation,
     truncation_error_bound,
@@ -171,11 +172,38 @@ def _reference_models():
 TIMES = (1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5)
 EPSILONS = (1e-4, 1e-8, 1e-12)
 
+#: Horizon of the chunk-edge queries: Λt is in the hundreds, so the
+#: main chain's bound strictly decreases across the first chunks.
+EDGE_T = 100.0
 
-@pytest.mark.parametrize("start", ["fresh", "partly_extended", "exhausted"])
-@pytest.mark.parametrize("name", ["primed", "irreducible", "erlang"])
-def test_vectorized_scan_matches_scalar_reference(name, start):
-    model, rewards = _reference_models()[name]
+
+def _chunk_edge_queries(model, rewards, n_recorded, primed):
+    """``(t, eps, K)`` queries, to run in order, whose first admissible
+    ``K`` falls on an edge of the scan's weight chunks past the prefix
+    the previous query left: the last ``k`` of a first chunk, the first
+    and the last of a second chunk, the first and the last of a third.
+    Each budget is the main chain's bound at ``K`` exactly (doubled when
+    a primed chain halves it). Empty where the schedule is exhausted
+    before an edge."""
+    oracle, _, rate, _ = ScheduleBuilder.for_model(model, rewards, 0)
+    oracle.extend_to(10**6)
+    r_max = rewards.max_rate
+    queries = []
+    n = n_recorded
+    for offset in (_FIRST_CHUNK - 1, _FIRST_CHUNK, 3 * _FIRST_CHUNK - 1,
+                   3 * _FIRST_CHUNK, 7 * _FIRST_CHUNK - 1):
+        k = n + offset
+        if k >= oracle.n_recorded - 1:
+            break
+        bound = oracle.a_at(k) * (r_max * _ref_excess(rate * EDGE_T, k))
+        queries.append((EDGE_T, bound * (2.0 if primed else 1.0), k))
+        n = k + 1
+    return queries
+
+
+def _builder_pairs(model, rewards, start):
+    """Two identical ``(main, primed, rate)`` triples, both at ``start``:
+    one for the scan under test, one for the scalar reference."""
     pairs = [ScheduleBuilder.for_model(model, rewards, 0)[:3]
              for _ in range(2)]
     for main, primed, _ in pairs:
@@ -187,39 +215,97 @@ def test_vectorized_scan_matches_scalar_reference(name, start):
             main.extend_to(10**6)
             if primed is not None:
                 primed.extend_to(10**6)
-    (main, primed, rate), (ref_main, ref_primed, _) = pairs
+    return pairs
+
+
+@pytest.mark.parametrize("start", ["fresh", "partly_extended", "exhausted"])
+@pytest.mark.parametrize("name", ["primed", "irreducible", "erlang"])
+def test_vectorized_scan_matches_scalar_reference(name, start):
+    model, rewards = _reference_models()[name]
+    r_max = rewards.max_rate
+
+    def checker(pairs):
+        (main, primed, rate), (ref_main, ref_primed, _) = pairs
+
+        def check(t, eps):
+            got = select_truncation(main, primed, rate, t, eps, r_max)
+            want = _ref_select(ref_main, ref_primed, rate, t, eps, r_max)
+            assert (got.k_point, got.l_point) == want[:2], (t, eps)
+            assert got.error_bound.hex() == want[2].hex(), (t, eps)
+            assert main.steps_done == ref_main.steps_done
+            if primed is not None:
+                assert primed.steps_done == ref_primed.steps_done
+            return got
+        return main, primed, check
+
+    main, primed, check = checker(_builder_pairs(model, rewards, start))
     if start == "exhausted":
         assert main.exhausted and (primed is None or primed.exhausted)
     # A shuffled query order moves back and forth over the prefix.
     queries = [(t, eps) for t in TIMES for eps in EPSILONS]
     order = np.random.default_rng(0).permutation(len(queries))
-    r_max = rewards.max_rate
     for i in order:
-        t, eps = queries[i]
-        got = select_truncation(main, primed, rate, t, eps, r_max)
-        want = _ref_select(ref_main, ref_primed, rate, t, eps, r_max)
-        assert (got.k_point, got.l_point) == want[:2], (t, eps)
-        assert got.error_bound.hex() == want[2].hex(), (t, eps)
-        assert main.steps_done == ref_main.steps_done
-        if primed is not None:
-            assert primed.steps_done == ref_primed.steps_done
+        check(*queries[i])
+
+    # On a second pair at the same start: the first admissible K exactly
+    # on a chunk edge, up to the third (doubled) chunk.
+    main, primed, check = checker(_builder_pairs(model, rewards, start))
+    edges = _chunk_edge_queries(model, rewards, main.n_recorded,
+                                primed is not None)
+    if start != "exhausted" and name != "erlang":
+        assert len(edges) == 5
+    for t, eps, k in edges:
+        assert check(t, eps).k_point == k
+    # Then no budget is met before the mass runs out, partway through a
+    # chunk (from a fresh erlang builder: a(30) = 0 inside the first).
+    got = check(1e7, 1e-320)
+    assert main.exhausted and got.k_point == main.n_recorded - 1
 
 
+def _outcome(select):
+    """``(K, L, bound.hex())`` of a selection, or ``"raised"``."""
+    try:
+        k, l, bound = select()
+    except TruncationError:
+        return "raised"
+    return k, l, float(bound).hex()
+
+
+@pytest.mark.parametrize("stages, hard_cap", [
+    (50, 5),
+    # The cap on a chunk edge: the whole first chunk, then one k more.
+    (200, _FIRST_CHUNK),
+    (200, _FIRST_CHUNK + 1),
+    # Admissible (a(K) = 0) exactly at the cap, on the last k of the
+    # first chunk and on the first k of the second.
+    (_FIRST_CHUNK, _FIRST_CHUNK),
+    (_FIRST_CHUNK + 1, _FIRST_CHUNK + 1),
+    # The mass runs out partway through the first chunk, below the cap.
+    (50, 100),
+])
 @pytest.mark.parametrize("extended", [0, 3, 40, 1000])
-def test_hard_cap_matches_scalar_reference(extended):
+def test_hard_cap_matches_scalar_reference(stages, hard_cap, extended):
     # Whether the cap falls inside the recorded prefix or past it, both
     # scans raise, after stepping the builder equally far — even when the
     # prefix holds an admissible point beyond the cap (the chain is
-    # exhausted at 50 when extended to 1000).
-    model, rewards = erlang_chain(50, 1.0)
+    # exhausted at ``stages`` when extended to 1000) — or both return the
+    # same selection.
+    model, rewards = erlang_chain(stages, 1.0)
     main, _, rate, _ = ScheduleBuilder.for_model(model, rewards, 0)
     ref_main, _, _, _ = ScheduleBuilder.for_model(model, rewards, 0)
     main.extend_to(extended)
     ref_main.extend_to(extended)
-    with pytest.raises(TruncationError):
-        select_truncation(main, None, rate, 50.0, 1e-12, 1.0, hard_cap=5)
-    with pytest.raises(TruncationError):
-        _ref_select(ref_main, None, rate, 50.0, 1e-12, 1.0, hard_cap=5)
+
+    def selected():
+        c = select_truncation(main, None, rate, 50.0, 1e-12, 1.0,
+                              hard_cap=hard_cap)
+        return c.k_point, c.l_point, c.error_bound
+
+    got = _outcome(selected)
+    want = _outcome(lambda: _ref_select(ref_main, None, rate, 50.0, 1e-12,
+                                        1.0, hard_cap=hard_cap))
+    assert got == want
+    assert (got == "raised") == (stages > hard_cap)
     assert main.steps_done == ref_main.steps_done
 
 
